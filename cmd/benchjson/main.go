@@ -18,11 +18,9 @@
 //	               than -max-regress percent
 //
 // The benchmark set is the six end-to-end BenchmarkRun* benchmarks of
-// the root package (bitcnt/mmul/zoom × original/prefetch), the serial,
-// batched and checkpoint/cold phase-sweep benchmarks of
-// internal/harness, and the internal/cell batch-scheduler A/B
-// (round-robin vs horizon-aware at widths 4/16/64, with slices and
-// switches metrics), all with -benchmem, so the JSON carries ns/op,
+// the root package (bitcnt/mmul/zoom × original/prefetch) and the
+// one-worker and checkpoint/cold phase-sweep benchmarks of
+// internal/harness, all with -benchmem, so the JSON carries ns/op,
 // B/op, allocs/op, the derived simulated cycles per wall-clock second,
 // per-core throughput (via the custom cores metric) and a suite-wide
 // aggregate sim_cycles_per_sec_per_core. The checkpoint pair
@@ -70,9 +68,8 @@ type Result struct {
 	// headline throughput number.
 	SimCyclesPerSec float64 `json:"sim_cycles_per_sec,omitempty"`
 	// SimCyclesPerSecPerCore = SimCyclesPerSec / Cores — the
-	// per-core efficiency number batched execution is judged by, and
-	// the one that stays comparable between single-core and fanned-out
-	// runners.
+	// per-core efficiency number, the one that stays comparable between
+	// single-core and fanned-out runners.
 	SimCyclesPerSecPerCore float64 `json:"sim_cycles_per_sec_per_core,omitempty"`
 	// StallPct is the custom stall-pct metric: the share of simulated
 	// SPU cycles spent in stall buckets (memory/LS/LSE), reported by
@@ -92,14 +89,6 @@ type Result struct {
 	// cycles per iteration that snapshot restores skipped instead of
 	// re-executing.
 	SimCyclesSaved float64 `json:"sim_cycles_saved,omitempty"`
-	// Slices is the custom slices metric: scheduler advances (one
-	// resume-to-yield step of a machine or fiber) per iteration,
-	// reported by the batch benchmarks.
-	Slices float64 `json:"slices,omitempty"`
-	// FiberSwitches is the custom switches metric: the advances that
-	// changed machine/fiber — the context-switch share of Slices, which
-	// horizon-aware scheduling minimises relative to round-robin.
-	FiberSwitches float64 `json:"fiber_switches,omitempty"`
 }
 
 // Document is the BENCH_simthroughput.json layout.
@@ -123,11 +112,7 @@ type suite struct {
 
 var suites = []suite{
 	{pkg: ".", pattern: "^BenchmarkRun(Mmul|Zoom|Bitcnt)(Original|Prefetch)$"},
-	{pkg: "./internal/harness", pattern: "^BenchmarkHarness(Serial|Batched|Checkpoint|ColdPhase)Sweep$"},
-	// The batch-scheduler A/B: the same 64-scenario stream under
-	// round-robin and horizon-aware scheduling at three widths, with
-	// slices/switches quantifying the scheduling-overhead difference.
-	{pkg: "./internal/cell", pattern: "^BenchmarkBatch(Horizon)?SweepW(4|16|64)$"},
+	{pkg: "./internal/harness", pattern: "^BenchmarkHarness(Serial|Checkpoint|ColdPhase)Sweep$"},
 }
 
 func main() {
@@ -271,10 +256,6 @@ func parseMetrics(r *Result, tail string) error {
 			r.CheckpointHitRatio = v
 		case "sim-cycles-saved":
 			r.SimCyclesSaved = v
-		case "slices":
-			r.Slices = v
-		case "switches":
-			r.FiberSwitches = v
 		}
 	}
 	return nil

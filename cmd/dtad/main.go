@@ -5,12 +5,12 @@
 //
 // Usage:
 //
-//	dtad [-addr :8080] [-workers n] [-batch k] [-cache n] [-queue-depth n]
+//	dtad [-addr :8080] [-workers n] [-cache n] [-queue-depth n]
 //	     [-debug-addr addr]
 //
-// -batch k with k > 1 makes each worker interleave up to k jobs
-// cooperatively (simulations advance in bounded slices), keeping more
-// jobs in flight per worker with byte-identical results.
+// Each worker runs one job at a time on a context it shares with every
+// earlier job of the same Quick/Seed, so overlapping jobs reuse its run
+// cache (see SERVICE.md).
 //
 // -debug-addr (off by default) serves Go's net/http/pprof on a second
 // listener — CPU/heap/goroutine profiles of the dtad HOST process
@@ -44,7 +44,6 @@ func main() {
 	var (
 		addr       = flag.String("addr", ":8080", "listen address")
 		workers    = flag.Int("workers", 0, "simulation worker pool size (0 = one per CPU)")
-		batchWidth = flag.Int("batch", 1, "jobs interleaved per worker (1 = run each job to completion)")
 		cacheSize  = flag.Int("cache", service.DefaultCacheSize, "max cached result documents")
 		queueDepth = flag.Int("queue-depth", 1024, "max queued jobs")
 		ckptDir    = flag.String("checkpoint-dir", "", "spill warm-up checkpoint snapshots to this directory so they survive restarts (empty = memory only)")
@@ -63,7 +62,6 @@ func main() {
 
 	svc := service.New(service.Config{
 		Workers:             *workers,
-		BatchWidth:          *batchWidth,
 		CacheSize:           *cacheSize,
 		QueueDepth:          *queueDepth,
 		CheckpointDir:       *ckptDir,
@@ -86,7 +84,7 @@ func main() {
 
 	logger.Info("dtad listening",
 		"engine", service.EngineVersion, "experiments", len(harness.All()),
-		"workers", svc.Workers(), "batch_width", svc.BatchWidth(),
+		"workers", svc.Workers(),
 		"cache", *cacheSize, "addr", *addr)
 
 	done := make(chan struct{})

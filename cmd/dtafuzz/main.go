@@ -20,12 +20,10 @@
 //
 // Seeds fan out over a worker pool (-parallel, default one per CPU);
 // every check is independent and deterministic, so parallel and serial
-// sweeps find exactly the same failures. With -batch k > 1 each worker
-// additionally interleaves k checks cooperatively, advancing their
-// simulations in bounded slices — same results, more seeds in flight
-// per goroutine and a shared machine pool across them. Exit status: 0
-// all seeds passed, 1 divergence found (reproducer written when
-// -shrink), 2 bad usage.
+// sweeps find exactly the same failures. Each worker recycles machines
+// through its own pool across the seeds it checks. Exit status: 0 all
+// seeds passed, 1 divergence found (reproducer written when -shrink), 2
+// bad usage.
 package main
 
 import (
@@ -39,12 +37,10 @@ import (
 	"path/filepath"
 	"strings"
 
-	"repro/internal/batch"
 	"repro/internal/cell"
 	"repro/internal/obs"
 	"repro/internal/prof"
 	"repro/internal/profiling"
-	"repro/internal/sim"
 	"repro/internal/synth"
 )
 
@@ -61,7 +57,6 @@ func main() {
 		oneSeed   = flag.Uint64("seed", 0, "check a single seed and exit")
 		duration  = flag.Duration("duration", 0, "time budget: check increasing seeds until it expires")
 		parallel  = flag.Int("parallel", 0, "worker pool size (0 = one per CPU)")
-		batchW    = flag.Int("batch", 1, "checks interleaved per worker (1 = run each seed to completion)")
 		quick     = flag.Bool("quick", false, "quick mode: 60-cycle memory latency")
 		shrink    = flag.Bool("shrink", false, "shrink the lowest failing seed to a minimal reproducer")
 		out       = flag.String("out", "synth-repro.txt", "reproducer path (with -shrink)")
@@ -160,31 +155,12 @@ func main() {
 		go func() {
 			defer wg.Done()
 			// Per-worker machine pool: every seed on this goroutine
-			// reuses built machines; pools never cross goroutines. The
-			// batched fibers of one worker interleave cooperatively —
-			// never simultaneously — so they share the pool safely. The
-			// free list is sized to the batch width: all fibers' machines
-			// retire together between rounds.
-			pool := cell.NewBatchPool(*batchW)
-			check := func(seed uint64, sched func(sim.Cycle) sim.Cycle) {
-				wopt := opt
-				wopt.Pool = pool
-				wopt.Sched = sched
+			// reuses built machines; pools never cross goroutines.
+			wopt := opt
+			wopt.Pool = cell.NewPool()
+			for seed := range seedCh {
 				rep, err := synth.CheckSeed(seed, wopt)
 				record(seed, rep, err)
-			}
-			if *batchW > 1 {
-				batch.RunScheduled(*batchW, batch.KeyedFeedChan(seedCh, func(seed uint64) batch.KeyedTask {
-					return func(yield func(int64) int64) {
-						check(seed, func(next sim.Cycle) sim.Cycle {
-							return sim.Cycle(yield(int64(next)))
-						})
-					}
-				}))
-			} else {
-				for seed := range seedCh {
-					check(seed, nil)
-				}
 			}
 		}()
 	}

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	experiments [-only id[,id...]] [-spes n] [-latency n] [-quick] [-list] [-parallel n]
-//	            [-batch k] [-json] [-trace path] [-profile path]
+//	            [-json] [-trace path] [-profile path]
 //	            [-cpuprofile path] [-memprofile path]
 //
 // -trace path records every simulation the serial runner executes and
@@ -26,12 +26,10 @@
 // see FUZZING.md) are first-class experiments — they appear in -list,
 // run by name through -only, and sweep like any paper figure. -parallel n
 // fans the selected experiments out over n workers (n < 0 means one per
-// CPU); each experiment then runs in its own isolated context and the
-// output is printed in the usual order once results are in. -batch k
-// with k > 1 interleaves up to k experiments per worker cooperatively
-// (simulations advance in bounded slices and the worker's run cache is
-// shared across its batch), producing byte-identical results to the
-// serial runner. -json
+// CPU) through harness.Parallel; each worker shares one context (and so
+// one run cache) across its experiments, results are byte-identical to
+// the serial mode, and the output is printed in the usual order once
+// results are in. -json
 // switches stdout to NDJSON — one object per experiment (id, run key,
 // tables, metrics, elapsed) in the same shape the dtad sweep stream
 // serves, so piped consumers need only one decoder.
@@ -67,7 +65,6 @@ func main() {
 		metrics   = flag.Bool("metrics", false, "also print machine-readable metrics")
 		seed      = flag.Uint64("seed", 42, "workload input seed")
 		parallel  = flag.Int("parallel", 0, "run experiments on n workers (0 = serial shared-cache, <0 = one per CPU)")
-		batchW    = flag.Int("batch", 1, "experiments interleaved per worker (>1 enables the batched runner)")
 		jsonOut   = flag.Bool("json", false, "emit NDJSON outcomes (one object per experiment) instead of tables")
 		tracePath = flag.String("trace", "", "write a Chrome trace-event timeline of every simulation to this file (serial mode only)")
 		profPath  = flag.String("profile", "", "write a guest cycle profile (pprof format, gzipped) of every simulation to this file (serial mode only)")
@@ -75,12 +72,12 @@ func main() {
 		memProf   = flag.String("memprofile", "", "write a heap profile to this file on exit")
 	)
 	flag.Parse()
-	if *tracePath != "" && (*parallel != 0 || *batchW > 1) {
-		fmt.Fprintln(os.Stderr, "-trace requires the serial runner (drop -parallel/-batch)")
+	if *tracePath != "" && *parallel != 0 {
+		fmt.Fprintln(os.Stderr, "-trace requires the serial runner (drop -parallel)")
 		os.Exit(2)
 	}
-	if *profPath != "" && (*parallel != 0 || *batchW > 1) {
-		fmt.Fprintln(os.Stderr, "-profile requires the serial runner (drop -parallel/-batch)")
+	if *profPath != "" && *parallel != 0 {
+		fmt.Fprintln(os.Stderr, "-profile requires the serial runner (drop -parallel)")
 		os.Exit(2)
 	}
 	stopProf, err := profiling.Start(*cpuProf, *memProf)
@@ -129,20 +126,7 @@ func main() {
 	}
 
 	start := time.Now()
-	if *batchW > 1 {
-		// Batched mode: -parallel still picks the worker count (0 keeps
-		// the serial default of one worker, <0 means one per CPU), and
-		// each worker interleaves up to -batch experiments.
-		workers := *parallel
-		if workers == 0 {
-			workers = 1
-		} else if workers < 0 {
-			workers = 0 // Batched resolves 0 to one worker per CPU
-		}
-		for _, r := range harness.Batched(opt, selected, workers, *batchW) {
-			report(r)
-		}
-	} else if *parallel != 0 {
+	if *parallel != 0 {
 		// Parallel mode necessarily waits for the pool; results still
 		// print in presentation order.
 		for _, r := range harness.Parallel(opt, selected, *parallel) {

@@ -83,6 +83,20 @@ func (c Config) Validate() error {
 		return fmt.Errorf("cell: local store (%d B) cannot hold %d frames",
 			c.LS.SizeBytes, c.LSE.NumFrames)
 	}
+	for _, l := range []struct {
+		name string
+		v    int
+	}{
+		{"Mem.Latency", c.Mem.Latency},
+		{"LS.Latency", c.LS.Latency},
+		{"MFC.CmdLatency", c.MFC.CmdLatency},
+		{"Noc.HopLatency", c.Noc.HopLatency},
+		{"SPU.PerfectCacheLat", c.SPU.PerfectCacheLat},
+	} {
+		if l.v < 0 {
+			return fmt.Errorf("cell: negative latency %s = %d", l.name, l.v)
+		}
+	}
 	return nil
 }
 

@@ -392,8 +392,8 @@ const (
 // whether the run completed. It is the bounded-slice form of Run: a
 // sequence of Step calls executes the exact same engine schedule as a
 // single Run — slice boundaries land on natural event cycles (see
-// sim.Engine.RunUntil) and no machine state observes them — so batched,
-// interleaved machines stay byte-identical to run-to-completion ones.
+// sim.Engine.RunUntil) and no machine state observes them — so a run
+// stepped to a checkpoint stays byte-identical to a run-to-completion one.
 // Faults, deadlocks and the Config.MaxCycles limit return errors
 // exactly as Run does; after an error the machine must not be stepped
 // further.
@@ -404,11 +404,6 @@ func (m *Machine) Step(budget sim.Cycle) (StepStatus, error) {
 	}
 	return m.StepUntil(until)
 }
-
-// NextEvent returns the cycle of the machine's earliest pending engine
-// event (sim.Never when quiescent) — the virtual-time key a
-// horizon-aware batch scheduler orders paused machines by.
-func (m *Machine) NextEvent() sim.Cycle { return m.eng.NextEvent() }
 
 // StepUntil is the absolute-cycle form of Step: it advances the
 // simulation until the next event would run at a cycle >= until and
@@ -485,65 +480,6 @@ func (m *Machine) Run() (*Result, error) {
 		return nil, err
 	}
 	return m.Finish()
-}
-
-// DefaultSlice is the RunSliced budget applied when the caller passes
-// slice <= 0: long enough to amortise the scheduling round-trip, short
-// enough that a batch of K machines cycles through its working sets
-// instead of running one to completion.
-const DefaultSlice sim.Cycle = 1 << 16
-
-// RunSliced executes the program to completion in bounded slices,
-// calling yield between slices so a cooperative scheduler can advance
-// sibling machines. The result is byte-identical to Run — only the
-// caller's interleaving across machines changes.
-func (m *Machine) RunSliced(slice sim.Cycle, yield func()) (*Result, error) {
-	if slice <= 0 {
-		slice = DefaultSlice
-	}
-	for {
-		st, err := m.Step(slice)
-		if err != nil {
-			return nil, err
-		}
-		if st == StepDone {
-			return m.Finish()
-		}
-		yield()
-	}
-}
-
-// RunScheduled executes the program to completion under a horizon-aware
-// scheduler: before each slice it reports the machine's next pending
-// event cycle to sched (parking the caller's fiber until the scheduler
-// picks it again) and receives the batch horizon — the cycle at which a
-// sibling machine is next due. The slice then runs to the horizon, but
-// at least floor cycles past the current point (floor <= 0 selects
-// DefaultSlice) so machines with interleaved event streams don't
-// ping-pong cycle by cycle; a horizon of sim.Never runs to completion.
-// The result is byte-identical to Run — the horizon only sizes slices,
-// and slice boundaries land on natural event cycles (see Step).
-func (m *Machine) RunScheduled(floor sim.Cycle, sched func(next sim.Cycle) sim.Cycle) (*Result, error) {
-	if floor <= 0 {
-		floor = DefaultSlice
-	}
-	for {
-		horizon := sched(m.NextEvent())
-		until := m.eng.Now() + floor
-		if until < m.eng.Now() { // overflow: saturate
-			until = sim.Never
-		}
-		if horizon > until {
-			until = horizon
-		}
-		st, err := m.StepUntil(until)
-		if err != nil {
-			return nil, err
-		}
-		if st == StepDone {
-			return m.Finish()
-		}
-	}
 }
 
 // MemReader exposes the post-run memory image.

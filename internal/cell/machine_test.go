@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/program"
@@ -418,6 +419,19 @@ func TestConfigValidation(t *testing.T) {
 	cfg.LS.SizeBytes = 1024
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("accepted tiny local store")
+	}
+	for name, set := range map[string]func(*Config){
+		"Mem.Latency":         func(c *Config) { c.Mem.Latency = -1 },
+		"LS.Latency":          func(c *Config) { c.LS.Latency = -1 },
+		"MFC.CmdLatency":      func(c *Config) { c.MFC.CmdLatency = -1 },
+		"Noc.HopLatency":      func(c *Config) { c.Noc.HopLatency = -1 },
+		"SPU.PerfectCacheLat": func(c *Config) { c.SPU.PerfectCacheLat = -1 },
+	} {
+		cfg = DefaultConfig()
+		set(&cfg)
+		if err := cfg.Validate(); err == nil || !strings.Contains(err.Error(), name) {
+			t.Fatalf("negative %s: err = %v", name, err)
+		}
 	}
 }
 

@@ -16,7 +16,7 @@ var (
 	PoolMisses atomic.Int64
 	// PoolPuts counts machines returned to a pool.
 	PoolPuts atomic.Int64
-	// PoolDrops counts returned machines dropped over the free-list cap.
+	// PoolDrops counts idle machines evicted over the pool's cap.
 	PoolDrops atomic.Int64
 )
 
@@ -33,15 +33,18 @@ var (
 // deterministic with zero locking.
 type Pool struct {
 	free map[Config][]*Machine
-	cap  int // max idle machines retained per configuration (0 = unbounded)
+	idle []*Machine // every idle machine, least recently returned first
+	cap  int        // max idle machines retained in total (0 = unbounded)
 }
 
-// DefaultPoolCap bounds the idle machines retained per configuration by
-// NewPool. A sweep worker cycles through a handful of configurations
-// with at most a few machines of each in flight, so a small cap keeps
-// reuse intact while a long-lived worker (dtad, a batch scheduler)
-// cannot accumulate retired 156 kB local-store images without bound.
-const DefaultPoolCap = 16
+// DefaultPoolCap bounds the idle machines NewPool retains across all
+// configurations. A sweep worker runs one simulation at a time and
+// reuses a handful of configurations heavily (the paper operating point,
+// the SPE-count sweep) while most ablation variants run once, so a small
+// least-recently-returned cap keeps the reuse while a long-lived worker
+// (a whole sweep, a dtad worker serving arbitrary latencies) cannot
+// accumulate retired 156 kB-per-SPE local-store images without bound.
+const DefaultPoolCap = 8
 
 // NewPool returns an empty machine pool with the default per-config
 // free-list cap.
@@ -49,37 +52,13 @@ func NewPool() *Pool {
 	return NewPoolCap(DefaultPoolCap)
 }
 
-// NewBatchPool returns a pool sized for a batched worker interleaving
-// width fibers: all width machines of one configuration are in flight
-// together between yields and return to the pool at the same time, so
-// a free list smaller than the batch width would drop (and rebuild)
-// machines every round. Widths at or below the default cap keep it.
-func NewBatchPool(width int) *Pool {
-	if width < DefaultPoolCap {
-		width = DefaultPoolCap
+// NewPoolCap returns an empty machine pool retaining at most capacity
+// idle machines in total; capacity <= 0 means unbounded.
+func NewPoolCap(capacity int) *Pool {
+	if capacity < 0 {
+		capacity = 0
 	}
-	return NewPoolCap(width)
-}
-
-// GrowCap raises the per-config free-list cap to at least perConfig, so
-// a pool recycled from a narrower batch can serve a wider one without
-// dropping machines every round. A no-op for unbounded pools or caps
-// already at least that large; the cap never shrinks (retained machines
-// stay retained).
-func (p *Pool) GrowCap(perConfig int) {
-	if p == nil || p.cap == 0 || perConfig <= p.cap {
-		return
-	}
-	p.cap = perConfig
-}
-
-// NewPoolCap returns an empty machine pool retaining at most perConfig
-// idle machines per configuration; perConfig <= 0 means unbounded.
-func NewPoolCap(perConfig int) *Pool {
-	if perConfig < 0 {
-		perConfig = 0
-	}
-	return &Pool{free: make(map[Config][]*Machine), cap: perConfig}
+	return &Pool{free: make(map[Config][]*Machine), cap: capacity}
 }
 
 // Get returns a machine for cfg ready to run prog: a pooled machine
@@ -92,7 +71,13 @@ func (p *Pool) Get(cfg Config, prog *program.Program) (*Machine, error) {
 	}
 	if ms := p.free[cfg]; len(ms) > 0 {
 		m := ms[len(ms)-1]
-		p.free[cfg] = ms[:len(ms)-1]
+		p.setFree(cfg, ms[:len(ms)-1])
+		for i := len(p.idle) - 1; i >= 0; i-- {
+			if p.idle[i] == m {
+				p.dropIdle(i)
+				break
+			}
+		}
 		if err := m.Reset(prog); err != nil {
 			// The program does not fit this configuration; a fresh
 			// build reports the same validation error.
@@ -106,18 +91,45 @@ func (p *Pool) Get(cfg Config, prog *program.Program) (*Machine, error) {
 
 // Put returns a machine to the pool. The caller must not use it
 // afterwards (its memory image remains valid only until the next Get).
-// A machine beyond the per-config cap is dropped for the garbage
-// collector instead of retained.
+// When the pool is full, the idle machine returned longest ago is
+// dropped for the garbage collector to make room.
 func (p *Pool) Put(m *Machine) {
 	if p == nil || m == nil {
 		return
 	}
-	if p.cap > 0 && len(p.free[m.cfg]) >= p.cap {
+	if p.cap > 0 && len(p.idle) >= p.cap {
+		// The oldest idle machine is also the oldest of its
+		// configuration, so it sits at the front of that free list.
+		old := p.idle[0]
+		p.dropIdle(0)
+		ms := p.free[old.cfg]
+		ms[0] = nil // let the collector have it
+		p.setFree(old.cfg, ms[1:])
 		PoolDrops.Add(1)
-		return
 	}
 	PoolPuts.Add(1)
 	p.free[m.cfg] = append(p.free[m.cfg], m)
+	p.idle = append(p.idle, m)
+}
+
+// dropIdle removes idle[i], clearing the vacated slot so the backing
+// array keeps no evicted machine alive.
+func (p *Pool) dropIdle(i int) {
+	n := len(p.idle) - 1
+	copy(p.idle[i:], p.idle[i+1:])
+	p.idle[n] = nil
+	p.idle = p.idle[:n]
+}
+
+// setFree stores cfg's free list, forgetting configurations with no idle
+// machine so a long-lived pool's map does not grow with every
+// configuration it has ever served.
+func (p *Pool) setFree(cfg Config, ms []*Machine) {
+	if len(ms) == 0 {
+		delete(p.free, cfg)
+		return
+	}
+	p.free[cfg] = ms
 }
 
 // Idle reports how many machines are retained for cfg (for tests).

@@ -186,7 +186,7 @@ func ablationMemLat(ctx *Context) (*Outcome, error) {
 	}
 	metrics := map[string]float64{}
 	for _, lat := range []int{1, 25, 75, 150, 300, 600} {
-		sub := NewContext(Options{SPEs: ctx.Opt.SPEs, Latency: lat, Quick: ctx.Opt.Quick, Seed: ctx.Opt.Seed})
+		sub := ctx.Sub(Options{SPEs: ctx.Opt.SPEs, Latency: lat, Quick: ctx.Opt.Quick, Seed: ctx.Opt.Seed})
 		orig, err := sub.run("mmul", sub.Opt.SPEs, false, defaultVariant())
 		if err != nil {
 			return nil, err

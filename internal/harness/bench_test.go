@@ -4,20 +4,17 @@ import (
 	"runtime"
 	"testing"
 
-	"repro/internal/batch"
 	"repro/internal/cell"
 )
 
 // benchmarkSweep runs the 8-experiment sweep through a runner,
 // reporting how many cores the runner occupies and the simulated
 // cycles the sweep represents per iteration — cmd/benchjson combines
-// the three numbers into sim-cycles/sec/core, the throughput measure
-// the batched runner is judged by.
+// the three numbers into sim-cycles/sec/core.
 func benchmarkSweep(b *testing.B, cores float64, run func(Options, []*Experiment) []RunResult) {
 	exps := sweepExperiments(b)
 	b.ResetTimer()
 	var cycles int64
-	slices0, switches0 := batch.Slices.Load(), batch.Switches.Load()
 	for i := 0; i < b.N; i++ {
 		for _, r := range run(quickOpts(), exps) {
 			if r.Err != nil {
@@ -30,36 +27,23 @@ func benchmarkSweep(b *testing.B, cores float64, run func(Options, []*Experiment
 	// discarded by the testing package.
 	b.ReportMetric(cores, "cores")
 	b.ReportMetric(float64(cycles)/float64(b.N), "sim-cycles")
-	// Fiber-scheduler overhead (0 for non-batched runners): how many
-	// slices the sweep took and how many of them switched fibers.
-	b.ReportMetric(float64(batch.Slices.Load()-slices0)/float64(b.N), "slices")
-	b.ReportMetric(float64(batch.Switches.Load()-switches0)/float64(b.N), "switches")
 }
 
-// BenchmarkHarnessSerialSweep is the baseline: the same per-experiment
-// isolation as the parallel runner, executed on one goroutine.
+// BenchmarkHarnessSerialSweep runs the sweep on one worker: one
+// context, so one run cache serves all eight experiments.
 func BenchmarkHarnessSerialSweep(b *testing.B) {
-	benchmarkSweep(b, 1, Serial)
-}
-
-// BenchmarkHarnessParallelSweep exercises the worker-pool runner at
-// runtime.NumCPU() width; compare against BenchmarkHarnessSerialSweep
-// for the wall-clock fan-out gain (≈ min(NumCPU, 8) on a multi-core
-// machine, nothing on a single-core one).
-func BenchmarkHarnessParallelSweep(b *testing.B) {
-	benchmarkSweep(b, float64(runtime.NumCPU()), func(opt Options, exps []*Experiment) []RunResult {
-		return Parallel(opt, exps, 0)
+	benchmarkSweep(b, 1, func(opt Options, exps []*Experiment) []RunResult {
+		return Parallel(opt, exps, 1)
 	})
 }
 
-// BenchmarkHarnessBatchedSweep runs the sweep on ONE worker goroutine
-// interleaving 8 experiments — the single-core batched configuration.
-// Against BenchmarkHarnessSerialSweep this isolates the batching gain
-// itself (shared run cache plus resident working sets), with no
-// multi-core fan-out mixed in.
-func BenchmarkHarnessBatchedSweep(b *testing.B) {
-	benchmarkSweep(b, 1, func(opt Options, exps []*Experiment) []RunResult {
-		return Batched(opt, exps, 1, 8)
+// BenchmarkHarnessParallelSweep exercises the sweep runner at
+// runtime.NumCPU() workers; compare against BenchmarkHarnessSerialSweep
+// for the wall-clock fan-out gain, less the simulations the workers'
+// separate run caches now compute more than once.
+func BenchmarkHarnessParallelSweep(b *testing.B) {
+	benchmarkSweep(b, float64(runtime.NumCPU()), func(opt Options, exps []*Experiment) []RunResult {
+		return Parallel(opt, exps, 0)
 	})
 }
 

@@ -54,9 +54,7 @@ type CheckpointSpill interface {
 
 // CheckpointCache holds encoded machine snapshots keyed by
 // cell.SnapshotKey, evicting least-recently-used entries beyond a byte
-// cap. Like the run cache it is confined to one worker — no locking —
-// and BatchState shares one across the fibers of a batch, which is
-// safe because fibers never execute simultaneously.
+// cap. Like the run cache it is confined to one worker — no locking.
 type CheckpointCache struct {
 	capBytes int64
 	bytes    int64
@@ -184,42 +182,6 @@ func (cc *CheckpointCache) touch(key string) {
 	}
 }
 
-// runTo advances m to the first natural event boundary at or beyond
-// target, yielding between bounded slices when this context is a
-// batched fiber. The landing cycle is the first event cycle >= target
-// regardless of slicing — any event inside a slice becomes an
-// intermediate landing below target and the loop continues — so the
-// capture point, and therefore the checkpoint key's meaning, does not
-// depend on the runner.
-func (c *Context) runTo(m *cell.Machine, target sim.Cycle) (cell.StepStatus, error) {
-	if c.sched == nil {
-		_, st, err := m.RunTo(target)
-		return st, err
-	}
-	slice := c.slice
-	if slice <= 0 {
-		slice = cell.DefaultSlice
-	}
-	for m.Now() < target {
-		horizon := c.sched(m.NextEvent())
-		until := m.Now() + slice
-		if horizon > until {
-			until = horizon
-		}
-		if until > target || until < m.Now() { // cap at the capture point
-			until = target
-		}
-		st, err := m.StepUntil(until)
-		if err != nil {
-			return 0, err
-		}
-		if st == cell.StepDone {
-			return cell.StepDone, nil
-		}
-	}
-	return cell.StepBudget, nil
-}
-
 // fork executes prog with knobs taking effect at the first event
 // boundary at or beyond div, sharing the warm-up prefix across calls:
 // the prefix state is served from the checkpoint cache when a sibling
@@ -260,7 +222,7 @@ func (c *Context) fork(prog *program.Program, spes int, knobs cell.Knobs, div si
 	}
 	st := cell.StepBudget
 	if !restored {
-		st, err = c.runTo(m, div)
+		_, st, err = m.RunTo(div)
 		if err != nil {
 			return nil, err
 		}
@@ -275,11 +237,7 @@ func (c *Context) fork(prog *program.Program, spes int, knobs cell.Knobs, div si
 		res, err = m.Finish()
 	} else {
 		m.ApplyKnobs(knobs)
-		if c.sched != nil {
-			res, err = m.RunScheduled(c.slice, c.sched)
-		} else {
-			res, err = m.Run()
-		}
+		res, err = m.Run()
 	}
 	if err != nil {
 		return nil, err

@@ -34,7 +34,7 @@ func errorSweep(t *testing.T) []*Experiment {
 	}
 }
 
-// checkErrorSweep asserts the shared contract of Serial and Parallel on
+// checkErrorSweep asserts the shared contract of RunOn and Parallel on
 // failing experiments: errors land on their own slot, panics are
 // converted to errors naming the experiment, healthy experiments keep
 // their outcome, and every result records its experiment and a timing.
@@ -77,10 +77,25 @@ func checkErrorSweep(t *testing.T, runner string, results []RunResult) {
 	}
 }
 
-func TestSerialErrorPaths(t *testing.T) {
-	checkErrorSweep(t, "Serial", Serial(quickOpts(), errorSweep(t)))
+func TestRunOnErrorPaths(t *testing.T) {
+	checkErrorSweep(t, "RunOn", isolated(quickOpts(), errorSweep(t)))
 }
 
 func TestParallelErrorPaths(t *testing.T) {
-	checkErrorSweep(t, "Parallel", Parallel(quickOpts(), errorSweep(t), 2))
+	checkErrorSweep(t, "Parallel/1", Parallel(quickOpts(), errorSweep(t), 1))
+	checkErrorSweep(t, "Parallel/2", Parallel(quickOpts(), errorSweep(t), 2))
+}
+
+// TestNegativeLatencyRejected: an Options latency below zero reaches
+// the machine configuration, which rejects it with an error instead of
+// simulating a nonsensical machine.
+func TestNegativeLatencyRejected(t *testing.T) {
+	e, ok := ByID("mmul-pf")
+	if !ok {
+		t.Fatal("mmul-pf missing")
+	}
+	r := RunOn(NewContext(Options{Quick: true, Latency: -5}), e)
+	if r.Err == nil || !strings.Contains(r.Err.Error(), "negative latency") {
+		t.Fatalf("Latency -5: err = %v, want a negative-latency error", r.Err)
+	}
 }

@@ -14,7 +14,6 @@ import (
 	"repro/internal/cell"
 	"repro/internal/prefetch"
 	"repro/internal/program"
-	"repro/internal/sim"
 	"repro/internal/stats"
 	"repro/internal/trace"
 	"repro/internal/workloads"
@@ -28,9 +27,6 @@ var (
 	RunsExecuted atomic.Int64
 	// RunCacheHits counts memoised results served without simulating.
 	RunCacheHits atomic.Int64
-	// InflightDedupHits counts waits resolved by a sibling fiber's
-	// in-flight computation of the same run key.
-	InflightDedupHits atomic.Int64
 )
 
 // CauseCycles accumulates simulated SPU cycles per stall cause across
@@ -165,27 +161,12 @@ type Context struct {
 	progs        map[progKey]*program.Program
 	pool         *cell.Pool
 	// ckpts shares warm-up-prefix snapshots across fork calls (see
-	// Context.fork). Shared by Sub contexts and batch fibers exactly
-	// like the run cache.
+	// Context.fork). Shared by Sub contexts exactly like the run cache.
 	ckpts *CheckpointCache
-	// Batched execution (see Batched): sched parks this context's fiber
-	// between simulation slices, reporting the machine's next pending
-	// event cycle (the scheduling key) and receiving the batch horizon —
-	// the cycle at which a sibling fiber is next due — so slices run
-	// exactly to natural scheduling points (cell.Machine.RunScheduled).
-	// Passing sim.Never parks the fiber until no sibling is runnable
-	// (batch.Waiting — the inflight-dedup wait). slice is the minimum
-	// per-slice cycle budget, and inflight marks cache keys a sibling
-	// fiber is currently computing so this fiber waits for the result
-	// instead of duplicating the simulation. All nil/zero for serial and
-	// parallel contexts.
-	sched    func(next sim.Cycle) sim.Cycle
-	slice    sim.Cycle
-	inflight map[runKey]bool
 	// simCycles accumulates the simulated cycles this context's
 	// experiments represent — every cache request counts the result's
 	// cycle total, hit or miss, so the metric depends only on the
-	// workload, not on which runner (or sibling fiber) computed it. A
+	// workload, not on which experiment happened to compute it first. A
 	// pointer so Sub-derived contexts bill the same counter.
 	simCycles *int64
 	// recs, when enabled, collects one timeline recording per simulation
@@ -227,23 +208,16 @@ type profState struct {
 	runs  []ProfiledRun
 }
 
-// NewContext prepares a context with its own machine pool.
+// NewContext prepares a context with its own machine pool and caches.
+// A context is confined to one goroutine: it recycles machines and
+// memoises results across every experiment run on it.
 func NewContext(opt Options) *Context {
-	return NewContextWithPool(opt, cell.NewPool())
-}
-
-// NewContextWithPool prepares a context that recycles machines through
-// pool (shared across the contexts of one worker to amortise machine
-// construction over a sweep). The pool must not be shared across
-// goroutines.
-func NewContextWithPool(opt Options, pool *cell.Pool) *Context {
 	return &Context{
 		Opt:       opt.WithDefaults(),
 		cache:     make(map[runKey]*cell.Result),
 		progs:     make(map[progKey]*program.Program),
-		pool:      pool,
+		pool:      cell.NewPool(),
 		ckpts:     NewCheckpointCache(0),
-		inflight:  make(map[runKey]bool),
 		simCycles: new(int64),
 		recs:      &recState{},
 		profs:     &profState{},
@@ -301,25 +275,28 @@ func (c *Context) Profiled() []ProfiledRun {
 }
 
 // Sub derives a context at a different operating point that shares this
-// context's machinery: machine pool, run and program caches (run keys
-// embed the latency and knobs that matter), inflight marks, batching
-// hooks and the simulated-cycle counter. Experiments that re-run the
-// sweep under modified options (lat1's latency-1 study) use it so their
-// simulations interleave and count like everyone else's. opt must agree
+// context's machinery: machine pool, run, program and checkpoint caches
+// (run keys embed the latency and knobs that matter) and the
+// simulated-cycle counter. Experiments that re-run the sweep under
+// modified options (lat1, ablation-memlat) use it so their simulations
+// are cached and counted like everyone else's, and the dtad service
+// gives each job a Sub of its worker's shared context. opt must agree
 // with the parent on the program-shaping fields (Quick, Seed) — the
-// program cache is keyed only by benchmark, SPE count and variant.
+// program cache is keyed only by benchmark, SPE count and variant — so
+// Sub panics on a mismatch rather than alias distinct programs.
 func (c *Context) Sub(opt Options) *Context {
+	opt = opt.WithDefaults()
+	if opt.Quick != c.Opt.Quick || opt.Seed != c.Opt.Seed {
+		panic("harness: Sub context differs from its parent in Quick/Seed")
+	}
 	return &Context{
-		Opt:          opt.WithDefaults(),
+		Opt:          opt,
 		SingleStep:   c.SingleStep,
 		NoCheckpoint: c.NoCheckpoint,
 		cache:        c.cache,
 		progs:        c.progs,
 		pool:         c.pool,
 		ckpts:        c.ckpts,
-		sched:        c.sched,
-		slice:        c.slice,
-		inflight:     c.inflight,
 		simCycles:    c.simCycles,
 		recs:         c.recs,
 		profs:        c.profs,
@@ -415,40 +392,13 @@ type variant struct {
 	frames int // 0 = default frame count per LSE
 }
 
-// memoRun serves key from the run cache, computing it on a miss. When
-// this context is a batched fiber (yield != nil) the cache is shared
-// with sibling fibers: if one of them is already computing key, this
-// fiber parks until the result lands rather than duplicating the
-// simulation. The wait cannot deadlock — a waiting fiber holds no
-// inflight mark of its own (memoRun calls never nest), so wait-for
-// cycles are impossible; and the mark is cleared on every exit path,
-// so a failed compute unblocks waiters (which then recompute and hit
-// the same deterministic error).
+// memoRun serves key from the run cache, computing it on a miss.
 func (c *Context) memoRun(key runKey, compute func() (*cell.Result, error)) (*cell.Result, error) {
-	waited := false
-	for {
-		if r, ok := c.cache[key]; ok {
-			RunCacheHits.Add(1)
-			if waited {
-				InflightDedupHits.Add(1)
-			}
-			*c.simCycles += int64(r.Cycles)
-			addCauseCycles(r)
-			return r, nil
-		}
-		if c.sched == nil || !c.inflight[key] {
-			break
-		}
-		waited = true
-		// Park as a waiter (batch.Waiting == sim.Never): the scheduler
-		// resumes this fiber only when no sibling is runnable — by which
-		// point the computing fiber has landed the result (or failed and
-		// cleared the mark). No busy-yield round-trips in between.
-		c.sched(sim.Never)
-	}
-	if c.inflight != nil {
-		c.inflight[key] = true
-		defer delete(c.inflight, key)
+	if r, ok := c.cache[key]; ok {
+		RunCacheHits.Add(1)
+		*c.simCycles += int64(r.Cycles)
+		addCauseCycles(r)
+		return r, nil
 	}
 	res, err := compute()
 	if err != nil {
@@ -558,14 +508,7 @@ func (c *Context) execute(prog *program.Program, spes int, v variant) (*cell.Res
 	if err != nil {
 		return nil, err
 	}
-	var res *cell.Result
-	if c.sched != nil {
-		// Batched fiber: advance in horizon-sized slices, parking between
-		// them so sibling simulations interleave on this worker.
-		res, err = m.RunScheduled(c.slice, c.sched)
-	} else {
-		res, err = m.Run()
-	}
+	res, err := m.Run()
 	if err != nil {
 		return nil, err
 	}

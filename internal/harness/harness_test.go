@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -208,6 +209,43 @@ func TestContextCachesRuns(t *testing.T) {
 	runExp(t, ctx, "fig5a") // same runs: cache hits only
 	if len(ctx.cache) != before {
 		t.Fatalf("cache grew on repeat: %d -> %d", before, len(ctx.cache))
+	}
+}
+
+// TestAblationMemLatBillsItsRuns: ablation-memlat's twelve simulations
+// run through the caller's context, so they are cached and billed like
+// every other experiment's — SimCycles is the sum of the table's cycle
+// cells, and a second run on the same context simulates nothing.
+func TestAblationMemLatBillsItsRuns(t *testing.T) {
+	e, ok := ByID("ablation-memlat")
+	if !ok {
+		t.Fatal("ablation-memlat missing")
+	}
+	ctx := quickCtx()
+	r := RunOn(ctx, e)
+	if r.Err != nil {
+		t.Fatal(r.Err)
+	}
+	var want int64
+	for _, row := range r.Outcome.Tables[0].Rows {
+		for _, cell := range row[1:3] { // original, prefetching
+			n, err := strconv.ParseInt(cell, 10, 64)
+			if err != nil {
+				t.Fatalf("cycle cell %q: %v", cell, err)
+			}
+			want += n
+		}
+	}
+	if r.SimCycles != want || want == 0 {
+		t.Fatalf("SimCycles = %d, want the table's %d cycles", r.SimCycles, want)
+	}
+	cached := len(ctx.cache)
+	runs := RunsExecuted.Load()
+	if again := RunOn(ctx, e); again.Err != nil || again.SimCycles != want {
+		t.Fatalf("repeat: SimCycles %d err %v, want %d", again.SimCycles, again.Err, want)
+	}
+	if len(ctx.cache) != cached || RunsExecuted.Load() != runs {
+		t.Fatal("repeat on the same context simulated again")
 	}
 }
 

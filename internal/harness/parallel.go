@@ -5,8 +5,6 @@ import (
 	"runtime"
 	"sync"
 	"time"
-
-	"repro/internal/cell"
 )
 
 // RunResult is one experiment's outcome from a sweep run.
@@ -23,19 +21,21 @@ type RunResult struct {
 	SimCycles int64
 }
 
-// Parallel executes experiments concurrently on a bounded worker pool
-// and returns results in input order.
+// Parallel is the sweep runner: it executes experiments on a bounded
+// worker pool and returns results in input order.
 //
-// Each experiment gets its own Context built from opt, so no run cache,
-// program cache, or machine state is shared across goroutines: every
-// simulation remains single-threaded and deterministic, and only the
-// cross-simulation fan-out is concurrent. The price is losing the
-// cross-experiment run cache a shared serial Context provides — worth it
-// whenever more than one core is available, since the big experiments
-// dominate wall time and do not overlap much anyway.
+// Each worker runs its experiments one after another through a single
+// Context, so it owns one run cache, one program cache, one machine
+// pool and one checkpoint cache: the paper's experiments re-request
+// many of the same simulations, and a worker computes each of them
+// once. Nothing is shared across workers, so every simulation stays
+// single-threaded and deterministic. Results are byte-identical to
+// running each experiment alone on a fresh context, and
+// RunResult.SimCycles bills cache hits at face value, so neither
+// depends on the worker count.
 //
 // workers <= 0 selects runtime.NumCPU(). A panic inside an experiment is
-// contained to its worker and reported as that experiment's Err.
+// contained to that experiment and reported as its Err.
 func Parallel(opt Options, exps []*Experiment, workers int) []RunResult {
 	if workers <= 0 {
 		workers = runtime.NumCPU()
@@ -56,12 +56,9 @@ func Parallel(opt Options, exps []*Experiment, workers int) []RunResult {
 	for w := 0; w < workers; w++ {
 		go func() {
 			defer wg.Done()
-			// One machine pool per worker: machines are recycled across
-			// the experiments this goroutine runs, never across
-			// goroutines, so simulations stay single-threaded.
-			pool := cell.NewPool()
+			ctx := NewContext(opt)
 			for i := range idxCh {
-				results[i] = RunOn(NewContextWithPool(opt, pool), exps[i])
+				results[i] = RunOn(ctx, exps[i])
 			}
 		}()
 	}
@@ -73,23 +70,12 @@ func Parallel(opt Options, exps []*Experiment, workers int) []RunResult {
 	return results
 }
 
-// Serial executes experiments one by one with the same per-experiment
-// isolation as Parallel (fresh Context each, one shared machine pool),
-// so serial and parallel sweeps are directly comparable run for run.
-func Serial(opt Options, exps []*Experiment) []RunResult {
-	results := make([]RunResult, len(exps))
-	pool := cell.NewPool()
-	for i, e := range exps {
-		results[i] = RunOn(NewContextWithPool(opt, pool), e)
-	}
-	return results
-}
-
 // RunOn executes one experiment on the given context, converting panics
 // into errors so one bad experiment cannot take down a sweep. It is the
-// shared containment primitive: the pool runners use it with isolated
-// contexts, cmd/experiments uses it with its shared-cache serial
-// context, and the dtad service inherits it through Serial.
+// shared containment primitive: Parallel's workers, cmd/experiments'
+// serial mode and the dtad service's workers all run experiments
+// through it. RunOn(NewContext(opt), e) is the isolated reference run
+// the determinism tests compare every other path against.
 func RunOn(ctx *Context, exp *Experiment) (res RunResult) {
 	start := time.Now()
 	base := *ctx.simCycles

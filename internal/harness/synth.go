@@ -11,7 +11,7 @@ import (
 // ("synth/0001".."synth/0032"): each runs the full differential check —
 // functional oracle, simulated original, simulated prefetch-transformed
 // — and reports the scenario's cycle counts and decoupling. That makes
-// generated scenarios sweepable through Parallel/Serial, listable and
+// generated scenarios sweepable through Parallel, listable and
 // selectable in cmd/experiments, and addressable through dtad run keys
 // (which fold in the generator version) with zero extra plumbing.
 func init() {
@@ -38,8 +38,6 @@ func runSynth(ctx *Context, seed uint64) (*Outcome, error) {
 	rep, err := synth.CheckScenario(sc, synth.CheckOptions{
 		Latency: ctx.Opt.Latency,
 		Pool:    ctx.pool,
-		Sched:   ctx.sched,
-		Slice:   ctx.slice,
 	})
 	if err != nil {
 		return nil, err

@@ -109,12 +109,18 @@ func Analyze(before, after *program.Program) Stats {
 			}
 		}
 		at := after.Templates[i]
-		if at.Transformed {
-			st.Templates++
-			st.Regions += len(at.RegionOffsets)
-			st.BufferBytes += at.PrefetchBytes
+		if !at.Transformed {
+			continue
 		}
-		st.ReadsRewritten += len(t.Accesses)
+		st.Templates++
+		st.Regions += len(at.RegionOffsets)
+		st.BufferBytes += at.PrefetchBytes
+		// Annotated WRITEs are accesses too; only READs are decoupled.
+		for _, a := range t.Accesses {
+			if op := t.Blocks[a.Block][a.Index].Op; op == isa.READ || op == isa.READ8 {
+				st.ReadsRewritten++
+			}
+		}
 	}
 	return st
 }

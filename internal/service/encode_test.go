@@ -123,7 +123,7 @@ func TestEncodeRealExperiment(t *testing.T) {
 		t.Fatal("table2 missing")
 	}
 	opt := harness.Options{Quick: true}
-	res := harness.Serial(opt, []*harness.Experiment{exp})[0]
+	res := harness.RunOn(harness.NewContext(opt), exp)
 	if res.Err != nil {
 		t.Fatal(res.Err)
 	}

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"time"
 
-	"repro/internal/batch"
 	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/prof"
@@ -71,27 +70,11 @@ type StatsDoc struct {
 	StallPct    float64          `json:"stall_pct"`
 	// Checkpoint reports the warm-up-prefix snapshot caches
 	// (process-wide, same scope as the dtad_checkpoint_* metrics).
-	Checkpoint CheckpointStats `json:"checkpoint"`
-	// Batch reports the cooperative fiber schedulers (process-wide,
-	// same scope as the dtad_batch_* metrics).
-	Batch         BatchStats     `json:"batch"`
-	Workers       int            `json:"workers"`
-	BatchWidth    int            `json:"batch_width"`
-	QueueLen      int            `json:"queue_len"`
-	UptimeSeconds float64        `json:"uptime_seconds"`
-	Jobs          map[string]int `json:"jobs"`
-}
-
-// BatchStats is the fiber-scheduler section of StatsDoc. Slices counts
-// fiber advances, FiberSwitches the advances that changed fiber — the
-// horizon scheduler's whole point is keeping the ratio low —
-// SharedStates the BatchStates (run/program caches keyed by Quick/Seed)
-// worker registries currently hold.
-type BatchStats struct {
-	Width         int   `json:"width"`
-	SharedStates  int64 `json:"shared_states"`
-	Slices        int64 `json:"slices"`
-	FiberSwitches int64 `json:"fiber_switches"`
+	Checkpoint    CheckpointStats `json:"checkpoint"`
+	Workers       int             `json:"workers"`
+	QueueLen      int             `json:"queue_len"`
+	UptimeSeconds float64         `json:"uptime_seconds"`
+	Jobs          map[string]int  `json:"jobs"`
 }
 
 // CheckpointStats is the checkpoint-cache section of StatsDoc.
@@ -292,14 +275,7 @@ func (s *Service) handleStats(w http.ResponseWriter, r *http.Request) {
 		StallCycles:   stallCycles,
 		StallPct:      causes.Buckets().StallPct(),
 		Checkpoint:    ckpt,
-		Batch: BatchStats{
-			Width:         s.BatchWidth(),
-			SharedStates:  SharedStates.Load(),
-			Slices:        batch.Slices.Load(),
-			FiberSwitches: batch.Switches.Load(),
-		},
 		Workers:       s.Workers(),
-		BatchWidth:    s.BatchWidth(),
 		QueueLen:      s.QueueLen(),
 		UptimeSeconds: s.Uptime().Seconds(),
 		Jobs:          byState,

@@ -3,7 +3,6 @@ package service
 import (
 	"time"
 
-	"repro/internal/batch"
 	"repro/internal/cell"
 	"repro/internal/harness"
 	"repro/internal/obs"
@@ -11,10 +10,11 @@ import (
 )
 
 // buildRegistry assembles the process metrics registry served at
-// GET /metrics. Counters owned by other packages (cell.Pool, batch,
-// harness run caches) are process-wide atomics read at scrape time;
-// service-level state is read through the usual accessors. Per-endpoint
-// latency histograms are registered lazily by the HTTP middleware.
+// GET /metrics. Counters owned by other packages (cell.Pool, harness
+// run and checkpoint caches) are process-wide atomics read at scrape
+// time; service-level state is read through the usual accessors.
+// Per-endpoint latency histograms are registered lazily by the HTTP
+// middleware.
 func (s *Service) buildRegistry() {
 	reg := obs.NewRegistry()
 	s.reg = reg
@@ -25,11 +25,8 @@ func (s *Service) buildRegistry() {
 	reg.GaugeFunc("dtad_workers",
 		"Configured simulation worker count.",
 		func() float64 { return float64(s.cfg.Workers) })
-	reg.GaugeFunc("dtad_batch_width",
-		"Configured cooperative batch width per worker (<=1 means run-to-completion).",
-		func() float64 { return float64(s.cfg.BatchWidth) })
 	reg.GaugeFunc("dtad_busy_workers",
-		"Jobs currently inside a simulation (with batching, up to batch_width per worker).",
+		"Jobs currently inside a simulation (at most one per worker).",
 		func() float64 { return float64(s.busyWorkers.Load()) })
 	reg.GaugeFunc("dtad_queue_depth",
 		"Jobs waiting for a worker.",
@@ -86,9 +83,6 @@ func (s *Service) buildRegistry() {
 	reg.CounterFunc("dtad_harness_run_cache_hits_total",
 		"Harness run-cache hits (memoised simulations).",
 		func() float64 { return float64(harness.RunCacheHits.Load()) })
-	reg.CounterFunc("dtad_harness_inflight_dedup_hits_total",
-		"Run-cache hits that waited on a sibling fiber computing the same key.",
-		func() float64 { return float64(harness.InflightDedupHits.Load()) })
 
 	reg.CounterFunc("dtad_checkpoint_hits_total",
 		"Forked runs seeded from a cached warm-up snapshot (memory or disk spill).",
@@ -120,26 +114,8 @@ func (s *Service) buildRegistry() {
 			obs.Label{Name: "bucket", Value: c.Bucket().String()})
 	}
 
-	reg.CounterFunc("dtad_batch_tasks_started_total",
-		"Fibers admitted to a cooperative scheduler round.",
-		func() float64 { return float64(batch.TasksStarted.Load()) })
-	reg.CounterFunc("dtad_batch_tasks_finished_total",
-		"Fibers that ran to completion.",
-		func() float64 { return float64(batch.TasksFinished.Load()) })
-	reg.GaugeFunc("dtad_batch_fibers_runnable",
-		"Live fibers across all cooperative scheduler loops.",
-		func() float64 { return float64(batch.Runnable.Load()) })
-	reg.CounterFunc("dtad_batch_slices_total",
-		"Fiber slices executed (one resume-to-yield advance).",
-		func() float64 { return float64(batch.Slices.Load()) })
-	reg.CounterFunc("dtad_batch_slice_seconds_total",
-		"Wall-clock seconds spent inside fiber slices.",
-		func() float64 { return float64(batch.SliceNanos.Load()) / 1e9 })
-	reg.CounterFunc("dtad_batch_fiber_switches_total",
-		"Fiber slices handed to a different fiber than the previous slice (the context-switch share of dtad_batch_slices_total; the horizon scheduler keeps it low).",
-		func() float64 { return float64(batch.Switches.Load()) })
 	reg.GaugeFunc("dtad_batch_shared_states",
-		"Shared batch states (run/program caches + machine pool, keyed by Quick/Seed) held by worker registries, in use or idling warm.",
+		"Shared worker contexts (run/program caches + machine pool, keyed by Quick/Seed) held by worker registries, in use or idling warm.",
 		func() float64 { return float64(SharedStates.Load()) })
 
 	s.httpMetrics = make(map[string]*routeMetrics, len(routePatterns)+1)

@@ -50,7 +50,7 @@ func TestMetricsEndpoint(t *testing.T) {
 		`dtad_http_requests_total{path="POST /v1/runs"} 2`,
 		`dtad_http_request_seconds_bucket{path="POST /v1/runs",le="+Inf"} 2`,
 		"# TYPE dtad_pool_gets_total counter",
-		"# TYPE dtad_batch_slices_total counter",
+		"# TYPE dtad_batch_shared_states gauge",
 		"# TYPE dtad_harness_runs_total counter",
 	} {
 		if !strings.Contains(body, want) {
@@ -64,9 +64,9 @@ func TestMetricsEndpoint(t *testing.T) {
 }
 
 // TestStatsEnriched checks the satellite /v1/stats fields: uptime,
-// batch width, cumulative sim cycles and the derived cache hit ratio.
+// worker count, cumulative sim cycles and the derived cache hit ratio.
 func TestStatsEnriched(t *testing.T) {
-	_, ts := newTestServer(t, Config{BatchWidth: 3})
+	_, ts := newTestServer(t, Config{Workers: 3})
 	req := `{"experiment":"mmul-pf","options":{"quick":true,"spes":2,"latency":60}}`
 	readAll(t, postJSON(t, ts.URL+"/v1/runs", req))
 	readAll(t, postJSON(t, ts.URL+"/v1/runs", req))
@@ -79,8 +79,8 @@ func TestStatsEnriched(t *testing.T) {
 	if err := json.Unmarshal(readAll(t, resp), &stats); err != nil {
 		t.Fatal(err)
 	}
-	if stats.BatchWidth != 3 {
-		t.Fatalf("batch_width = %d, want 3", stats.BatchWidth)
+	if stats.Workers != 3 {
+		t.Fatalf("workers = %d, want 3", stats.Workers)
 	}
 	if stats.SimCycles <= 0 {
 		t.Fatalf("sim_cycles = %d, want > 0", stats.SimCycles)

@@ -10,10 +10,8 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/batch"
 	"repro/internal/harness"
 	"repro/internal/obs"
-	"repro/internal/sim"
 )
 
 // JobState is a job's lifecycle stage.
@@ -69,13 +67,6 @@ type Config struct {
 	CacheSize  int // max cached result documents; <= 0 selects DefaultCacheSize
 	QueueDepth int // max jobs waiting for a worker; <= 0 selects 1024
 
-	// BatchWidth > 1 makes each worker interleave up to that many jobs
-	// cooperatively: simulations advance in bounded slices (see
-	// harness.Batched), so a worker keeps several jobs in flight and
-	// reuses one machine pool across them. Results are byte-identical to
-	// the run-to-completion default (<= 1).
-	BatchWidth int
-
 	// CheckpointDir, when set, spills harness checkpoint snapshots
 	// (shared warm-up prefixes; see harness.CheckpointCache) to disk so
 	// they survive restarts. CheckpointDiskBytes bounds the directory,
@@ -106,8 +97,8 @@ type Config struct {
 }
 
 // Service owns the job queue, worker pool and result cache. Workers run
-// each job through the same per-experiment isolation as
-// harness.Parallel (fresh Context, panic containment), so every
+// jobs one at a time the way harness.Parallel's workers run experiments
+// (one shared context per worker, panic containment), so every
 // simulation stays single-threaded and deterministic; only the fan-out
 // across jobs is concurrent.
 type Service struct {
@@ -209,9 +200,6 @@ func (s *Service) SimCycles() int64 { return s.simCycles.Load() }
 
 // Uptime returns how long the service has been running.
 func (s *Service) Uptime() time.Duration { return time.Since(s.started) }
-
-// BatchWidth returns the configured cooperative batch width.
-func (s *Service) BatchWidth() int { return s.cfg.BatchWidth }
 
 // Workers returns the worker-pool size.
 func (s *Service) Workers() int { return s.cfg.Workers }
@@ -384,20 +372,16 @@ func (s *Service) Close() {
 	s.wg.Wait()
 }
 
-// worker executes queued jobs until the queue closes. Each worker owns
-// a registry of shared BatchStates keyed by the program-shaping Options
-// fields (Quick, Seed): every job joining an existing state reuses its
-// machine pool, program cache and — decisively — its RUN CACHE, so a
-// sweep whose jobs overlap in simulations computes each one once per
-// worker instead of once per job. With BatchWidth > 1 the worker
-// interleaves that many jobs cooperatively under the horizon-aware
-// scheduler (batch.RunScheduled); the fibers never execute
-// simultaneously, so sharing stays lock-free, and a fiber wanting a
-// simulation a sibling is computing parks on the scheduler's waiting
-// list instead of recomputing it (see harness.Context).
+// worker executes queued jobs until the queue closes, one at a time.
+// Each worker owns a registry of shared root contexts keyed by the
+// program-shaping Options fields (Quick, Seed): every job runs on a Sub
+// of its root and so reuses the root's machine pool, program cache and
+// — decisively — its RUN CACHE, so a sweep whose jobs overlap in
+// simulations computes each one once per worker instead of once per
+// job.
 func (s *Service) worker() {
 	defer s.wg.Done()
-	// One checkpoint cache per worker, shared across all its states, so
+	// One checkpoint cache per worker, shared across all its roots, so
 	// a sweep's variants fork from each other's warm-up prefixes even
 	// across Quick/Seed boundaries (snapshot keys are content-addressed);
 	// the spill underneath is process-wide and survives restarts.
@@ -405,34 +389,19 @@ func (s *Service) worker() {
 	if s.spill != nil {
 		ckpts.SetSpill(s.spill)
 	}
-	states := newStateRegistry(s.cfg.BatchWidth, ckpts)
-	if width := s.cfg.BatchWidth; width > 1 {
-		batch.RunScheduled(width, batch.KeyedFeedChan(s.queue, func(job *Job) batch.KeyedTask {
-			return harness.SchedTask(func(sched func(next sim.Cycle) sim.Cycle) {
-				state := states.acquire(job.Options)
-				defer states.release(job.Options)
-				s.runJob(job, func(opt harness.Options) *harness.Context {
-					return state.ContextFor(opt, sched)
-				})
-			})
-		}))
-		return
-	}
+	states := newStateRegistry(ckpts)
 	for job := range s.queue {
-		state := states.acquire(job.Options)
-		s.runJob(job, func(opt harness.Options) *harness.Context {
-			return state.ContextFor(opt, nil)
-		})
+		root := states.acquire(job.Options)
+		s.runJob(job, root)
 		states.release(job.Options)
 	}
 }
 
-// runJob executes one job end to end; mkCtx builds the job's run
-// context (plain or batched, always over the worker's machine pool).
-// The simulation itself goes through harness.RunOn — the same
-// containment primitive as CLI sweeps — so error returns and panics
-// surface exactly as they do there.
-func (s *Service) runJob(job *Job, mkCtx func(harness.Options) *harness.Context) {
+// runJob executes one job end to end on a Sub of the worker's shared
+// root context. The simulation itself goes through harness.RunOn — the
+// same containment primitive as CLI sweeps — so error returns and
+// panics surface exactly as they do there.
+func (s *Service) runJob(job *Job, root *harness.Context) {
 	s.mu.Lock()
 	if job.State != JobQueued { // canceled while waiting
 		s.mu.Unlock()
@@ -472,7 +441,7 @@ func (s *Service) runJob(job *Job, mkCtx func(harness.Options) *harness.Context)
 	}
 	s.simulated.Add(1)
 	s.busyWorkers.Add(1)
-	res := harness.RunOn(mkCtx(job.Options), exp)
+	res := harness.RunOn(root.Sub(job.Options), exp)
 	s.busyWorkers.Add(-1)
 	s.simCycles.Add(res.SimCycles)
 	if res.Err != nil {

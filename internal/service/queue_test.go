@@ -356,64 +356,111 @@ func TestSubmitCoalescesInflight(t *testing.T) {
 	}
 }
 
-// TestBatchedWorkersMatchSequential runs the same mixed sweep — paper
-// figures plus synth corpus seeds, real experiments through the default
-// registry — through a batched service (workers interleaving 4 jobs)
-// and a plain one, and asserts byte-identical result documents.
-func TestBatchedWorkersMatchSequential(t *testing.T) {
+// TestWorkersMatchIsolated runs the same mixed sweep — paper figures
+// plus synth corpus seeds, real experiments through the default
+// registry — through a one-worker and a two-worker service, and asserts
+// result documents byte-identical to encoding each experiment's
+// isolated reference run: sharing a worker's context across jobs never
+// changes a result.
+func TestWorkersMatchIsolated(t *testing.T) {
 	ids := []string{"table2", "fig5a", "synth/0001", "synth/0002", "fig5b", "synth/0003"}
-	opt := harness.Options{Quick: true}
-	runAll := func(cfg Config) map[string][]byte {
-		s := New(cfg)
-		defer s.Close()
+	opt := harness.Options{Quick: true}.WithDefaults()
+	want := make(map[string][]byte, len(ids))
+	for _, id := range ids {
+		exp, _ := harness.ByID(id)
+		r := harness.RunOn(harness.NewContext(opt), exp)
+		if r.Err != nil {
+			t.Fatalf("%s: %v", id, r.Err)
+		}
+		data, err := EncodeResult(id, opt, r.Outcome)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[id] = data
+	}
+	for _, workers := range []int{1, 2} {
+		s := New(Config{Workers: workers})
 		sweep, err := s.SubmitSweep(ids, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
-		out := make(map[string][]byte, len(ids))
 		for _, j := range sweep.Jobs {
 			waitJob(t, j)
 			if j.State != JobDone {
-				t.Fatalf("%s: state=%s err=%s", j.Experiment, j.State, j.Err)
+				t.Fatalf("workers=%d %s: state=%s err=%s", workers, j.Experiment, j.State, j.Err)
 			}
-			out[j.Experiment] = j.Result
+			if !bytes.Equal(want[j.Experiment], j.Result) {
+				t.Fatalf("workers=%d %s: result differs from the isolated run:\n%s\n%s",
+					workers, j.Experiment, want[j.Experiment], j.Result)
+			}
 		}
-		return out
-	}
-	plain := runAll(Config{Workers: 2})
-	batched := runAll(Config{Workers: 2, BatchWidth: 4})
-	for _, id := range ids {
-		if !bytes.Equal(plain[id], batched[id]) {
-			t.Fatalf("%s: batched result differs:\n%s\n%s", id, plain[id], batched[id])
-		}
+		s.Close()
 	}
 }
 
-// TestBatchedConcurrentIdenticalJobsOneSimulation: identical
-// submissions racing through a batched worker cost ONE simulation — a
-// duplicate either coalesces onto the in-flight job at submission or is
-// served from the result cache — with byte-identical bodies either way.
-func TestBatchedConcurrentIdenticalJobsOneSimulation(t *testing.T) {
-	s := New(Config{Workers: 1, BatchWidth: 2})
-	defer s.Close()
+// TestConcurrentIdenticalJobsOneSimulation: identical jobs or sweeps
+// racing through a one-worker service cost ONE simulation — a duplicate
+// either coalesces onto the in-flight job at submission or is served
+// from the result cache — with byte-identical bodies either way.
+func TestConcurrentIdenticalJobsOneSimulation(t *testing.T) {
 	opt := harness.Options{Quick: true}
-	a, err := s.Submit("fig7", opt)
+	check := func(label string, submit func(*Service) []*Job) {
+		t.Helper()
+		s := New(Config{Workers: 1})
+		defer s.Close()
+		jobs := submit(s)
+		for _, j := range jobs {
+			waitJob(t, j)
+			if j.State != JobDone {
+				t.Fatalf("%s: state=%s err=%s", label, j.State, j.Err)
+			}
+			if !bytes.Equal(jobs[0].Result, j.Result) {
+				t.Fatalf("%s: duplicate result differs:\n%s\n%s", label, jobs[0].Result, j.Result)
+			}
+		}
+		if n := s.Simulations(); n != 1 {
+			t.Fatalf("%s: simulations = %d, want 1 (duplicate coalesced or cache-served)", label, n)
+		}
+	}
+	check("jobs", func(s *Service) []*Job {
+		var jobs []*Job
+		for i := 0; i < 2; i++ {
+			j, err := s.Submit("fig7", opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs = append(jobs, j)
+		}
+		return jobs
+	})
+	check("sweeps", func(s *Service) []*Job {
+		var jobs []*Job
+		for i := 0; i < 2; i++ {
+			sw, err := s.SubmitSweep([]string{"fig7"}, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			jobs = append(jobs, sw.Jobs...)
+		}
+		return jobs
+	})
+}
+
+// TestNegativeLatencyJobFails: a job whose Options carry a negative
+// latency ends failed with the configuration error, and nothing is
+// cached under its key.
+func TestNegativeLatencyJobFails(t *testing.T) {
+	s := New(Config{Workers: 1})
+	defer s.Close()
+	j, err := s.Submit("mmul-pf", harness.Options{Quick: true, Latency: -5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := s.Submit("fig7", opt)
-	if err != nil {
-		t.Fatal(err)
+	waitJob(t, j)
+	if j.State != JobFailed || !strings.Contains(j.Err, "negative latency") {
+		t.Fatalf("state=%s err=%q, want failed with a negative-latency error", j.State, j.Err)
 	}
-	waitJob(t, a)
-	waitJob(t, b)
-	if a.State != JobDone || b.State != JobDone {
-		t.Fatalf("states: a=%s (err=%s) b=%s (err=%s)", a.State, a.Err, b.State, b.Err)
-	}
-	if !bytes.Equal(a.Result, b.Result) {
-		t.Fatalf("duplicate result differs:\n%s\n%s", a.Result, b.Result)
-	}
-	if n := s.Simulations(); n != 1 {
-		t.Fatalf("simulations = %d, want 1 (duplicate coalesced or cache-served)", n)
+	if _, hit := s.Cache().peek(j.Key); hit {
+		t.Fatal("failed job's result was cached")
 	}
 }

@@ -6,17 +6,17 @@ import (
 	"repro/internal/harness"
 )
 
-// SharedStates gauges the harness.BatchStates currently held by worker
-// state registries — in use by at least one job or idling warm — across
-// the process. Exposed as dtad_batch_shared_states.
+// SharedStates gauges the shared root contexts currently held by worker
+// state registries — in use by a job or idling warm — across the
+// process. Exposed as dtad_batch_shared_states.
 var SharedStates atomic.Int64
 
 // stateKey identifies the Options fields that shape programs: two jobs
 // agreeing on Quick and Seed build byte-identical programs for a given
-// benchmark, so they may share one BatchState's run and program caches.
+// benchmark, so they may share one context's run and program caches.
 // Every other Options field (latency, SPE budget) is folded into each
 // simulation's run-cache key and needs no separation here — see
-// harness.BatchState.ContextFor.
+// harness.Context.Sub.
 type stateKey struct {
 	quick bool
 	seed  uint64
@@ -30,49 +30,46 @@ type stateKey struct {
 const stateIdleCap = 4
 
 type stateEntry struct {
-	state *harness.BatchState
-	refs  int
+	root *harness.Context
+	refs int
 }
 
-// stateRegistry hands out refcounted BatchStates keyed by stateKey, so
+// stateRegistry hands out refcounted root contexts keyed by stateKey, so
 // every job of one worker whose Options agree on the program-shaping
-// fields shares run/program caches, inflight dedup marks and a machine
-// pool — concurrently for the fibers of a batched worker, generation
-// after generation for a sequential one. Per-worker and lock-free like
-// the caches it manages: the fibers of one worker never execute
-// simultaneously. Zero-ref states idle in LRU order up to stateIdleCap
-// before eviction.
+// fields runs on a Sub of one root and shares its run, program and
+// checkpoint caches and its machine pool. Per-worker and lock-free like
+// the caches it manages. Zero-ref roots idle in LRU order up to
+// stateIdleCap before eviction.
 type stateRegistry struct {
-	width  int
 	ckpts  *harness.CheckpointCache
 	states map[stateKey]*stateEntry
 	idle   []stateKey // zero-ref states, coldest first
 }
 
-func newStateRegistry(width int, ckpts *harness.CheckpointCache) *stateRegistry {
-	if width < 1 {
-		width = 1
-	}
-	return &stateRegistry{width: width, ckpts: ckpts, states: make(map[stateKey]*stateEntry)}
+func newStateRegistry(ckpts *harness.CheckpointCache) *stateRegistry {
+	return &stateRegistry{ckpts: ckpts, states: make(map[stateKey]*stateEntry)}
 }
 
-// acquire returns the shared state for opt's program-shaping fields,
-// creating it on first use, and takes a reference that release drops.
-func (r *stateRegistry) acquire(opt harness.Options) *harness.BatchState {
+// acquire returns the shared root context for opt's program-shaping
+// fields, creating it on first use, and takes a reference that release
+// drops. Callers run jobs on root.Sub(job options).
+func (r *stateRegistry) acquire(opt harness.Options) *harness.Context {
 	opt = opt.WithDefaults()
 	k := stateKey{opt.Quick, opt.Seed}
 	e := r.states[k]
 	if e == nil {
-		st := harness.NewBatchState(opt, 0, r.width)
-		st.SetCheckpointCache(r.ckpts)
-		e = &stateEntry{state: st}
+		root := harness.NewContext(opt)
+		if r.ckpts != nil {
+			root.SetCheckpointCache(r.ckpts)
+		}
+		e = &stateEntry{root: root}
 		r.states[k] = e
 		SharedStates.Add(1)
 	} else if e.refs == 0 {
 		r.unidle(k)
 	}
 	e.refs++
-	return e.state
+	return e.root
 }
 
 // release drops one reference; the last reference parks the state on

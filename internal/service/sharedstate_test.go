@@ -7,9 +7,9 @@ import (
 )
 
 // TestStateRegistrySharing: jobs agreeing on Quick/Seed get the same
-// BatchState; any disagreement gets a distinct one.
+// root context; any disagreement gets a distinct one.
 func TestStateRegistrySharing(t *testing.T) {
-	r := newStateRegistry(4, nil)
+	r := newStateRegistry(nil)
 	a := r.acquire(harness.Options{Quick: true})
 	b := r.acquire(harness.Options{Quick: true, SPEs: 4, Latency: 500})
 	if a != b {
@@ -31,7 +31,7 @@ func TestStateRegistrySharing(t *testing.T) {
 // SharedStates gauge tracks every transition.
 func TestStateRegistryRefcountAndIdle(t *testing.T) {
 	base := SharedStates.Load()
-	r := newStateRegistry(2, nil)
+	r := newStateRegistry(nil)
 	opt := harness.Options{Quick: true}
 	st := r.acquire(opt)
 	if got := SharedStates.Load() - base; got != 1 {
@@ -61,7 +61,7 @@ func TestStateRegistryRefcountAndIdle(t *testing.T) {
 // TestStateRegistryConcurrentRefs: overlapping acquires of one key
 // share the state and the state stays resident until the last release.
 func TestStateRegistryConcurrentRefs(t *testing.T) {
-	r := newStateRegistry(2, nil)
+	r := newStateRegistry(nil)
 	opt := harness.Options{Quick: true}
 	a := r.acquire(opt)
 	b := r.acquire(opt)

@@ -411,23 +411,6 @@ func (e *Engine) RunUntil(until Cycle) (Cycle, RunStatus) {
 	return e.stopAt, RunStopped
 }
 
-// NextEvent returns the cycle of the earliest pending event — the
-// uniform-cycle bucket or the heap root, whichever is due first — or
-// Never when no component has pending work. It is the O(1) head
-// computation RunUntil makes before every pass, exposed so a batch
-// scheduler can order paused engines by how soon each has real work
-// (the virtual-time key of horizon-aware scheduling).
-func (e *Engine) NextEvent() Cycle {
-	min := Never
-	if e.nextLive > 0 {
-		min = e.nextAt
-	}
-	if len(e.heap) > 0 && e.heap[0].at < min {
-		min = e.heap[0].at
-	}
-	return min
-}
-
 // RunFor is RunUntil(Now()+budget), saturating at Never. budget <= 0
 // returns immediately with RunBudget.
 func (e *Engine) RunFor(budget Cycle) (Cycle, RunStatus) {

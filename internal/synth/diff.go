@@ -54,14 +54,6 @@ type CheckOptions struct {
 	// Pool recycles machines across checks (per worker; must not be
 	// shared across goroutines). nil builds a fresh machine per run.
 	Pool *cell.Pool
-	// Sched, when non-nil, makes every simulation advance in bounded
-	// slices under the batch scheduling hook (see cell.Machine's
-	// RunScheduled): it reports the machine's next pending event cycle
-	// and receives the batch horizon, and Slice (0 = cell.DefaultSlice)
-	// is the anti-ping-pong floor. Batched runners use it to interleave
-	// several checks on one goroutine; results are identical either way.
-	Sched func(next sim.Cycle) sim.Cycle
-	Slice sim.Cycle
 	// DiffBurst additionally runs every simulation a second time with
 	// the SPU burst fast path disabled (spu.Config.BurstMax = -1; see
 	// that field's doc comment for the canonical value semantics) and
@@ -138,15 +130,6 @@ func diverged(sc Scenario, phase, format string, args ...any) *DivergenceError {
 	return &DivergenceError{Scenario: sc, Phase: phase, Detail: fmt.Sprintf(format, args...)}
 }
 
-// runMachine drives one machine to completion: run-to-completion when
-// no Sched hook is set, scheduled in slices otherwise.
-func (o CheckOptions) runMachine(m *cell.Machine) (*cell.Result, error) {
-	if o.Sched == nil {
-		return m.Run()
-	}
-	return m.RunScheduled(o.Slice, o.Sched)
-}
-
 // runSim executes prog on a (pooled) machine and returns the result
 // plus the machine (for its final memory image). With DiffBurst it
 // also runs the single-step slow path and asserts bit-identical
@@ -161,7 +144,7 @@ func runSim(sc Scenario, opt CheckOptions, prog *program.Program) (*cell.Result,
 	if err != nil {
 		return nil, nil, err
 	}
-	res, err := opt.runMachine(m)
+	res, err := m.Run()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -172,7 +155,7 @@ func runSim(sc Scenario, opt CheckOptions, prog *program.Program) (*cell.Result,
 		if err != nil {
 			return nil, nil, err
 		}
-		sres, err := opt.runMachine(sm)
+		sres, err := sm.Run()
 		if err != nil {
 			return nil, nil, fmt.Errorf("single-step run: %w", err)
 		}
@@ -230,7 +213,7 @@ func diffCheckpoint(opt CheckOptions, cfg cell.Config, prog *program.Program, wa
 		if err := fresh.RestoreSnapshot(blob, key); err != nil {
 			return fmt.Errorf("checkpoint restore: %w", err)
 		}
-		if got, err = opt.runMachine(fresh); err != nil {
+		if got, err = fresh.Run(); err != nil {
 			return fmt.Errorf("restored run: %w", err)
 		}
 		gotM = fresh

@@ -49,7 +49,7 @@ func ProfileScenario(sc Scenario, opt CheckOptions) (*Profiles, error) {
 	if err != nil {
 		return nil, fmt.Errorf("synth: build sim-orig: %w", err)
 	}
-	origRes, err := opt.runMachine(origM)
+	origRes, err := origM.Run()
 	if err != nil {
 		return nil, fmt.Errorf("synth: profile sim-orig: %w", err)
 	}
@@ -59,7 +59,7 @@ func ProfileScenario(sc Scenario, opt CheckOptions) (*Profiles, error) {
 	if err != nil {
 		return nil, fmt.Errorf("synth: build sim-pf: %w", err)
 	}
-	pfRes, err := opt.runMachine(pfM)
+	pfRes, err := pfM.Run()
 	if err != nil {
 		return nil, fmt.Errorf("synth: profile sim-pf: %w", err)
 	}

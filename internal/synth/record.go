@@ -47,7 +47,7 @@ func RecordScenario(sc Scenario, opt CheckOptions, spanCap int) (*Recording, err
 	if err != nil {
 		return nil, fmt.Errorf("synth: build sim-orig: %w", err)
 	}
-	origRes, err := opt.runMachine(origM)
+	origRes, err := origM.Run()
 	if err != nil {
 		return nil, fmt.Errorf("synth: record sim-orig: %w", err)
 	}
@@ -57,7 +57,7 @@ func RecordScenario(sc Scenario, opt CheckOptions, spanCap int) (*Recording, err
 	if err != nil {
 		return nil, fmt.Errorf("synth: build sim-pf: %w", err)
 	}
-	pfRes, err := opt.runMachine(pfM)
+	pfRes, err := pfM.Run()
 	if err != nil {
 		return nil, fmt.Errorf("synth: record sim-pf: %w", err)
 	}

@@ -170,6 +170,32 @@ func TestBitcntSmallBothVariants(t *testing.T) {
 	}
 }
 
+// TestAnalyzeDecoupledCounts pins the static decoupling the prefetch
+// pass reports at the harness's quick sizes: every global READ of mmul
+// and zoom is rewritten (their annotated WRITEs are not READs and must
+// not count), and bitcnt keeps its four table lookups blocking.
+func TestAnalyzeDecoupledCounts(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		p              Params
+		rewritten, all int
+	}{
+		{"mmul", Params{N: 16, Workers: AutoWorkers(8, 32), Seed: 42}, 2, 2},
+		{"zoom", Params{N: 16, Workers: AutoWorkers(8, 32), Seed: 42}, 2, 2},
+		{"bitcnt", Params{N: 400, Seed: 42}, 6, 10},
+	} {
+		orig, pf := buildBoth(t, tc.name, tc.p)
+		st := prefetch.Analyze(orig, pf)
+		if st.ReadsRewritten != tc.rewritten || st.ReadsTotal != tc.all {
+			t.Fatalf("%s: %d/%d READs decoupled, want %d/%d",
+				tc.name, st.ReadsRewritten, st.ReadsTotal, tc.rewritten, tc.all)
+		}
+		if f := st.DecoupledFraction(); f > 1 {
+			t.Fatalf("%s: decoupled fraction %v > 1", tc.name, f)
+		}
+	}
+}
+
 func TestVecsumBothVariants(t *testing.T) {
 	orig, pf := buildBoth(t, "vecsum", Params{N: 256, Workers: 4, Seed: 4})
 	a := runProg(t, 2, orig)
